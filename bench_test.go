@@ -315,9 +315,11 @@ func BenchmarkDFTNOStabilizeLarge(b *testing.B) {
 // frontier-heavy regime where the phase-B seam cost is worst: the BFS
 // spanning tree on a BFS-relabeled Barabási–Albert graph at n = 2¹⁸
 // (expander-like, so nearly every node's influence ball crosses a
-// shard boundary). Graph and stepper construction stay outside the
-// timer; each iteration is one distributed-daemon step, and the
-// configuration is re-randomized off the clock if it goes terminal.
+// shard boundary). Graph and stepper construction, and the stepper's
+// lazy frontier and wave build, stay outside the timer; each iteration
+// is one distributed-daemon step, and the configuration is
+// re-randomized (and the stepper rebuilt) off the clock if it goes
+// terminal.
 // The waves-off/waves-on pair benchmarks the serialized boundary pass
 // against batched wave execution; the committed T17 rows in
 // BENCH_scheduler.json hold the counted (hardware-independent)
@@ -345,6 +347,11 @@ func benchFrontierHeavyStep(b *testing.B, waves bool) {
 	ps := program.NewParallelSystem(p, program.ParallelConfig{
 		Workers: 8, Seed: 11, FrontierWaves: waves,
 	})
+	// ParallelSystem classifies the frontier and colors the waves
+	// lazily on its first Step after construction or Invalidate;
+	// FrontierSize forces that one-time build off the clock, so the
+	// timed steps measure stepping alone.
+	ps.FrontierSize()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -356,6 +363,7 @@ func benchFrontierHeavyStep(b *testing.B, waves bool) {
 			b.StopTimer()
 			p.Randomize(rng)
 			ps.Invalidate()
+			ps.FrontierSize()
 			b.StartTimer()
 		}
 	}

@@ -115,7 +115,7 @@ func run(args []string, out *os.File) error {
 			NodeLabel: func(v graph.NodeID) string { return fmt.Sprintf("%d (η=%d)", v, l.Names[v]) },
 			EdgeLabel: func(u, v graph.NodeID) string {
 				pu, _ := g.PortOf(u, v)
-				pv, _ := g.PortOf(v, u)
+				pv := g.BackPort(u, pu)
 				return fmt.Sprintf("%d/%d", l.Labels[u][pu], l.Labels[v][pv])
 			},
 		})

@@ -146,7 +146,7 @@
 // nodes appear and disappear (graph.AddEdge / RemoveEdge / AddNode /
 // RemoveNode), and the protocols — being self-stabilizing — absorb
 // every such event as one more transient fault. The mutable-graph
-// contract (internal/graph/delta.go) has three load-bearing clauses:
+// contract (internal/graph/delta.go) has these load-bearing clauses:
 //
 //   - Port stability: removing an edge leaves a hole (graph.None) at
 //     its ports, so every surviving edge keeps its port number and
@@ -154,6 +154,15 @@
 //     re-added edge reclaims the lowest holes. Iteration over
 //     Neighbors skips holes; Ports(v) sizes port-indexed arrays,
 //     Degree(v) counts live edges.
+//   - Port index: the graph holds no map. Next to each adjacency list
+//     it keeps the reverse ports — BackPort(v, i) is v's port at its
+//     neighbour on port i, O(1), -1 on a hole — built in O(n+m) by
+//     every constructor and kept exact by every mutation and by
+//     Reorder/ReorderNodes. PortOf(v, q) and HasEdge(u, v) scan the
+//     shorter of the two adjacency lists, O(min deg), and report no
+//     edge for None, out-of-range, hole and dead-node arguments. Hot
+//     paths that already hold a port (STNO's parent Start lookup, the
+//     DFS tree's path extension, SoD edge symmetry) use BackPort.
 //   - Delta soundness: every mutation returns a graph.Delta listing
 //     exactly the nodes whose local view changed, and bumps the
 //     monotone Version. Mutating the graph and calling

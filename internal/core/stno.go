@@ -164,9 +164,9 @@ func (s *STNO) isRoot(v graph.NodeID) bool {
 
 // BindRootAuthority implements program.Rootable: the binding is
 // forwarded to the tree substrate (which re-anchors its reference
-// structure) and recorded here so expectedEta names every effective
-// root 0. The witness counters are invalidated — a root flip changes
-// clause verdicts without touching any node.
+// structure) and recorded here so the naming guard names every
+// effective root 0. The witness counters are invalidated — a root flip
+// changes clause verdicts without touching any node.
 func (s *STNO) BindRootAuthority(a program.RootAuthority) {
 	if r, ok := s.sub.(program.Rootable); ok {
 		r.BindRootAuthority(a)
@@ -205,24 +205,6 @@ func (s *STNO) expectedWeight(v graph.NodeID) int {
 	return w
 }
 
-// expectedEta returns the name v's parent currently allocates to it
-// (Start_{A_v}[v]); ok is false when v is not the root and has no
-// valid parent. The root's name is 0.
-func (s *STNO) expectedEta(v graph.NodeID) (int, bool) {
-	if s.isRoot(v) {
-		return 0, true
-	}
-	p := s.sub.Parent(v)
-	if p == graph.None {
-		return 0, false
-	}
-	port, ok := s.g.PortOf(p, v)
-	if !ok {
-		return 0, false
-	}
-	return s.start[p][port], true
-}
-
 // wantStart computes the Distribute macro's target Start array for v:
 // given := η_v; each child q (in port order) receives Start_v[q] :=
 // given+1 and given advances by Weight_q; non-child entries are zero.
@@ -242,54 +224,73 @@ func (s *STNO) wantStart(v graph.NodeID, out []int) []int {
 	return out
 }
 
-// nameInvalid is InvalidNodelabel ∨ a stale Start array. The
-// Distribute comparison runs inline against Start_v instead of
-// materialising the target array: it keeps the guard allocation-free
-// (it runs on every evaluation of every node) without a shared
-// scratch buffer, which concurrent guard evaluations in the parallel
-// stepper could not tolerate.
-func (s *STNO) nameInvalid(v graph.NodeID) bool {
-	if want, ok := s.expectedEta(v); ok && s.eta[v] != want {
-		return true
-	}
-	given := s.eta[v]
-	for port, q := range s.g.Neighbors(v) {
-		want := 0
-		if q != graph.None && s.sub.Parent(q) == v {
-			want = given + 1
-			given += s.weight[q]
-		}
-		if s.start[v][port] != want {
-			return true
-		}
-	}
-	return false
+// stnoGuard holds the verdicts of STNO's three guards at one node,
+// plus the name v's parent allocates to it (Start_{A_v}[v], 0 at a
+// root) for NameAndDistribute; etaOK is false when v is not a root and
+// has no parent among its neighbours.
+type stnoGuard struct {
+	weight, name, edge bool
+	eta                int
+	etaOK              bool
 }
 
-// invalidEdgeLabel is InvalidEdgelabel(p). Hole ports have no edge to
-// label and are skipped.
-func (s *STNO) invalidEdgeLabel(v graph.NodeID) bool {
+// guard evaluates CalcWeight (Weight_v ≠ 1 + Σ_{q∈D_v} Weight_q),
+// NameAndDistribute (InvalidNodelabel ∨ a stale Start array) and
+// EdgeLabel (InvalidEdgelabel) in one pass over v's ports. The parent's
+// Start entry is read through the back port of the port v reaches its
+// parent on. The Distribute comparison runs inline against Start_v
+// instead of materialising the target array: the guard runs on every
+// evaluation of every node, concurrently across nodes in the parallel
+// stepper, so it allocates nothing and shares no scratch.
+func (s *STNO) guard(v graph.NodeID) stnoGuard {
+	var r stnoGuard
+	par := graph.None
+	if s.isRoot(v) {
+		r.etaOK = true
+	} else {
+		par = s.sub.Parent(v)
+	}
+	eta, start, pi := s.eta[v], s.start[v], s.pi[v]
+	given := eta
 	for port, q := range s.g.Neighbors(v) {
-		if q == graph.None {
-			continue
+		want := 0
+		if q != graph.None {
+			if s.sub.Parent(q) == v {
+				want = given + 1
+				given += s.weight[q]
+			}
+			if q == par {
+				r.eta, r.etaOK = s.start[q][s.g.BackPort(v, port)], true
+			}
+			if !r.edge && pi[port] != sod.ChordalLabel(eta, s.eta[q], s.modulus) {
+				r.edge = true
+			}
 		}
-		if s.pi[v][port] != sod.ChordalLabel(s.eta[v], s.eta[q], s.modulus) {
-			return true
+		if start[port] != want {
+			r.name = true
 		}
 	}
-	return false
+	r.weight = s.weight[v] != 1+given-eta // given−η_v = Σ_{q∈D_v} Weight_q
+	if r.etaOK && eta != r.eta {
+		r.name = true
+	}
+	return r
 }
+
+// violates reports whether any of STNO's own guards holds at v.
+func (g stnoGuard) violates() bool { return g.weight || g.name || g.edge }
 
 // Enabled implements program.Protocol.
 func (s *STNO) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
 	buf = s.sub.Enabled(v, buf)
-	if s.weight[v] != s.expectedWeight(v) {
+	g := s.guard(v)
+	if g.weight {
 		buf = append(buf, ActWeight)
 	}
-	if s.nameInvalid(v) {
+	if g.name {
 		buf = append(buf, ActName)
 	}
-	if s.invalidEdgeLabel(v) {
+	if g.edge {
 		buf = append(buf, ActSTNOEdge)
 	}
 	return buf
@@ -306,16 +307,17 @@ func (s *STNO) Execute(v graph.NodeID, a program.ActionID) bool {
 		s.weight[v] = w
 		return true
 	case ActName:
-		if !s.nameInvalid(v) {
+		g := s.guard(v)
+		if !g.name {
 			return false
 		}
-		if want, ok := s.expectedEta(v); ok {
-			s.eta[v] = want
+		if g.etaOK {
+			s.eta[v] = g.eta
 		}
 		s.start[v] = s.wantStart(v, s.start[v][:0])
 		return true
 	case ActSTNOEdge:
-		if !s.invalidEdgeLabel(v) {
+		if !s.guard(v).edge {
 			return false
 		}
 		for port, q := range s.g.Neighbors(v) {
@@ -387,7 +389,7 @@ func (s *STNO) Legitimate() bool {
 		if !s.g.Alive(id) {
 			continue
 		}
-		if s.weight[v] != s.expectedWeight(id) || s.nameInvalid(id) || s.invalidEdgeLabel(id) {
+		if s.guard(id).violates() {
 			return false
 		}
 	}

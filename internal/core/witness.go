@@ -79,7 +79,7 @@ func (s *STNO) stnoViolates(v graph.NodeID) bool {
 	if !s.g.Alive(v) {
 		return false
 	}
-	return s.weight[v] != s.expectedWeight(v) || s.nameInvalid(v) || s.invalidEdgeLabel(v)
+	return s.guard(v).violates()
 }
 
 // WitnessReset implements program.Witness.

@@ -343,8 +343,10 @@ func TestDFTNOPositionInvariantTracksIdealCycle(t *testing.T) {
 	}
 }
 
-// TestSTNOWitnessZeroAllocGuards pins the nameInvalid scratch reuse:
-// evaluating every guard of a stabilized STNO allocates nothing.
+// TestSTNOWitnessZeroAllocGuards pins the fused one-pass guard's
+// allocation-free evaluation: sweeping Enabled and the witness clause
+// over every node allocates nothing, on a stabilized STNO and on a
+// randomized one where the guards fire.
 func TestSTNOWitnessZeroAllocGuards(t *testing.T) {
 	g := graph.Grid(4, 4)
 	sub, err := spantree.NewBFSTree(g, 0)
@@ -359,14 +361,19 @@ func TestSTNOWitnessZeroAllocGuards(t *testing.T) {
 	if res, err := sys.RunUntilLegitimate(int64(1000 * (g.N() + g.M()))); err != nil || !res.Converged {
 		t.Fatalf("setup: %v %+v", err, res)
 	}
-	var buf []program.ActionID
-	allocs := testing.AllocsPerRun(50, func() {
+	buf := make([]program.ActionID, 0, 8)
+	sweep := func() {
 		for v := 0; v < g.N(); v++ {
 			buf = s.Enabled(graph.NodeID(v), buf[:0])
+			_ = s.stnoViolates(graph.NodeID(v))
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("full guard sweep allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
+		t.Errorf("stabilized guard sweep allocates %.1f times, want 0", allocs)
+	}
+	s.Randomize(rand.New(rand.NewSource(3)))
+	if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
+		t.Errorf("randomized guard sweep allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -70,11 +70,13 @@ func (g *Graph) CompVersion() uint64 {
 	return g.compVer
 }
 
-// ensureComp initialises the component labelling from scratch.
-func (g *Graph) ensureComp() {
-	if g.comp != nil {
-		return
-	}
+// ensureComp initialises the component labelling on first use. The
+// once guard keeps a fresh graph safe for concurrent readers: the
+// first component queries may race to initialise it.
+func (g *Graph) ensureComp() { g.compOnce.Do(g.initComp) }
+
+// initComp computes the component labelling from scratch.
+func (g *Graph) initComp() {
 	n := g.N()
 	g.comp = make([]int32, n)
 	for v := range g.comp {

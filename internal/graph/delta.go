@@ -158,21 +158,19 @@ func (g *Graph) bumpLiveEpoch(v NodeID) {
 func (g *Graph) Ports(v NodeID) int { return len(g.adj[v]) }
 
 // attach binds q to the lowest free port of v (reusing holes before
-// growing the port space) and returns the port.
+// growing the port space) and returns the port. The caller sets the
+// port's back entry once the far end's port is known.
 func (g *Graph) attach(v, q NodeID) int {
+	g.deg[v]++
 	for p, w := range g.adj[v] {
 		if w == None {
 			g.adj[v][p] = q
-			g.ports[v][q] = p
-			g.deg[v]++
 			return p
 		}
 	}
 	g.adj[v] = append(g.adj[v], q)
-	p := len(g.adj[v]) - 1
-	g.ports[v][q] = p
-	g.deg[v]++
-	return p
+	g.back[v] = append(g.back[v], -1)
+	return len(g.adj[v]) - 1
 }
 
 // AddEdge inserts the undirected edge {u,v} into the live graph,
@@ -196,6 +194,8 @@ func (g *Graph) AddEdge(u, v NodeID) (Delta, error) {
 	g.ensureComp()
 	pu := g.attach(u, v)
 	pv := g.attach(v, u)
+	g.back[u][pu] = int32(pv)
+	g.back[v][pv] = int32(pu)
 	g.edges++
 	g.version++
 	merged := g.compAddEdge(u, v)
@@ -215,17 +215,15 @@ func (g *Graph) RemoveEdge(u, v NodeID) (Delta, error) {
 			return Delta{}, &NodeRangeError{Node: x, N: g.N()}
 		}
 	}
-	pu, ok := g.ports[u][v]
+	pu, ok := g.PortOf(u, v)
 	if !ok {
 		return Delta{}, fmt.Errorf("%w {%d,%d}", ErrEdgeMissing, u, v)
 	}
 	g.ensureComp()
-	pv := g.ports[v][u]
-	g.adj[u][pu] = None
-	delete(g.ports[u], v)
+	pv := g.BackPort(u, pu)
+	g.adj[u][pu], g.back[u][pu] = None, -1
 	g.deg[u]--
-	g.adj[v][pv] = None
-	delete(g.ports[v], u)
+	g.adj[v][pv], g.back[v][pv] = None, -1
 	g.deg[v]--
 	g.edges--
 	g.version++
@@ -263,7 +261,7 @@ func (g *Graph) AddNode() (NodeID, Delta) {
 		}
 	}
 	g.adj = append(g.adj, nil)
-	g.ports = append(g.ports, make(map[NodeID]int))
+	g.back = append(g.back, nil)
 	g.deg = append(g.deg, 0)
 	if g.alive != nil {
 		g.alive = append(g.alive, true)
@@ -291,19 +289,18 @@ func (g *Graph) RemoveNode(v NodeID) (Delta, error) {
 	}
 	g.ensureComp()
 	touched := []NodeID{v}
-	for _, q := range g.adj[v] {
+	for p, q := range g.adj[v] {
 		if q == None {
 			continue
 		}
-		pq := g.ports[q][v]
-		g.adj[q][pq] = None
-		delete(g.ports[q], v)
+		pq := g.back[v][p]
+		g.adj[q][pq], g.back[q][pq] = None, -1
 		g.deg[q]--
 		g.edges--
 		touched = append(touched, q)
 	}
 	g.adj[v] = g.adj[v][:0]
-	g.ports[v] = make(map[NodeID]int)
+	g.back[v] = g.back[v][:0]
 	g.deg[v] = 0
 	if g.alive == nil {
 		g.alive = make([]bool, g.N())

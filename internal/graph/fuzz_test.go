@@ -10,7 +10,7 @@ import (
 // FuzzNamed drives the spec parser with arbitrary input: it must never
 // panic, never allocate past the parser caps, and every graph it does
 // return must satisfy the structural invariants (symmetric edges,
-// consistent port maps, degree bookkeeping). The seed corpus under
+// consistent back ports, degree bookkeeping). The seed corpus under
 // testdata/fuzz/FuzzNamed covers every topology family.
 func FuzzNamed(f *testing.F) {
 	for _, spec := range []string{
@@ -38,39 +38,54 @@ func FuzzNamed(f *testing.F) {
 		if g.N() > maxSpecNodes || g.M() > maxSpecEdges {
 			t.Fatalf("spec %q escaped the size caps: %s", spec, g)
 		}
-		checkGraphInvariants(t, g)
+		checkGraphInvariants(t, g, spec)
 	})
 }
 
-// checkGraphInvariants validates the structural contract of a Graph.
-func checkGraphInvariants(t *testing.T, g *Graph) {
+// checkGraphInvariants validates the structural contract of a Graph:
+// every live port's neighbour is a live node holding a back port that
+// leads straight back (adj[adj[v][i]][back[v][i]] == v, and the far
+// back port names i), holes carry no back port, PortOf and HasEdge
+// agree with the adjacency lists, and the degree, edge and component
+// bookkeeping matches a recount. what names the graph in failures.
+func checkGraphInvariants(t *testing.T, g *Graph, what string) {
 	t.Helper()
 	m := 0
 	for v := 0; v < g.N(); v++ {
 		id := NodeID(v)
 		live := 0
 		for p, q := range g.Neighbors(id) {
+			bp := g.BackPort(id, p)
 			if q == None {
+				if bp != -1 {
+					t.Fatalf("%s: hole at %d port %d has back port %d", what, v, p, bp)
+				}
 				continue
 			}
 			live++
 			if q < 0 || int(q) >= g.N() {
-				t.Fatalf("neighbour %d of %d out of range", q, v)
+				t.Fatalf("%s: neighbour %d of %d out of range", what, q, v)
+			}
+			if !g.Alive(q) {
+				t.Fatalf("%s: dead node %d in adjacency of %d", what, q, v)
+			}
+			if bp < 0 || bp >= g.Ports(q) || g.Neighbor(q, bp) != id || g.BackPort(q, bp) != p {
+				t.Fatalf("%s: back port desync at %d port %d -> %d port %d", what, v, p, q, bp)
 			}
 			if got, ok := g.PortOf(id, q); !ok || got != p {
-				t.Fatalf("port map desync at %d->%d", v, q)
+				t.Fatalf("%s: PortOf(%d,%d) = %d,%v, want %d", what, v, q, got, ok, p)
 			}
 			if !g.HasEdge(q, id) {
-				t.Fatalf("asymmetric edge {%d,%d}", v, q)
+				t.Fatalf("%s: asymmetric edge {%d,%d}", what, v, q)
 			}
 		}
 		if live != g.Degree(id) {
-			t.Fatalf("degree(%d)=%d but %d live ports", v, g.Degree(id), live)
+			t.Fatalf("%s: degree(%d)=%d but %d live ports", what, v, g.Degree(id), live)
 		}
 		m += live
 	}
 	if m/2 != g.M() {
-		t.Fatalf("M()=%d but counted %d", g.M(), m/2)
+		t.Fatalf("%s: M()=%d but counted %d", what, g.M(), m/2)
 	}
 	checkComponents(t, g)
 }
@@ -121,7 +136,7 @@ func TestNamedSeedCorpusCoversFamilies(t *testing.T) {
 	}
 	for _, spec := range entries {
 		if g, err := Named(spec); err == nil {
-			checkGraphInvariants(t, g)
+			checkGraphInvariants(t, g, spec)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a processor. Valid IDs are 0..N()-1.
@@ -32,7 +33,7 @@ const None NodeID = -1
 // concurrently with readers.
 type Graph struct {
 	adj   [][]NodeID
-	ports []map[NodeID]int
+	back  [][]int32 // back[v][i]: v's port at adj[v][i]; -1 on a hole
 	edges int
 
 	deg       []int    // live degree per node (holes excluded)
@@ -42,8 +43,9 @@ type Graph struct {
 	liveEpoch []uint64 // nil ⇒ no liveness flip ever; per-node flip counter
 
 	// Incremental connected-component tracking (components.go). comp is
-	// nil until the first query or mutation initialises it; from then on
-	// it is maintained across every mutation.
+	// nil until the first query or mutation initialises it under
+	// compOnce; from then on it is maintained across every mutation.
+	compOnce sync.Once
 	comp     []int32 // component label per node; -1 for dead nodes
 	compSize []int   // live size per label (stale entries for freed labels)
 	compFree []int32 // freed labels available for reuse
@@ -58,9 +60,10 @@ type Graph struct {
 
 // Builder accumulates edges for a Graph.
 type Builder struct {
-	n   int
-	adj [][]NodeID
-	set []map[NodeID]bool
+	n    int
+	adj  [][]NodeID
+	back [][]int32
+	set  []map[NodeID]bool
 }
 
 // Errors reported by Builder and parsers.
@@ -83,9 +86,10 @@ func (e *NodeRangeError) Error() string {
 // NewBuilder returns a builder for a graph on n nodes (ids 0..n-1).
 func NewBuilder(n int) *Builder {
 	return &Builder{
-		n:   n,
-		adj: make([][]NodeID, n),
-		set: make([]map[NodeID]bool, n),
+		n:    n,
+		adj:  make([][]NodeID, n),
+		back: make([][]int32, n),
+		set:  make([]map[NodeID]bool, n),
 	}
 }
 
@@ -112,6 +116,8 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	}
 	b.set[u][v] = true
 	b.set[v][u] = true
+	b.back[u] = append(b.back[u], int32(len(b.adj[v])))
+	b.back[v] = append(b.back[v], int32(len(b.adj[u])))
 	b.adj[u] = append(b.adj[u], v)
 	b.adj[v] = append(b.adj[v], u)
 	return nil
@@ -135,23 +141,34 @@ func (b *Builder) HasEdge(u, v NodeID) bool {
 
 // Build finalises the graph. It does not require connectivity; call
 // BuildConnected when the protocols demand a connected network.
+//
+// Every adjacency list and back-port array is carved out of one shared
+// backing array with its capacity clipped to its length, so a later
+// mutation that grows a node's port space reallocates that node's
+// slice instead of writing into its neighbour's.
 func (b *Builder) Build() *Graph {
 	g := &Graph{
-		adj:   make([][]NodeID, b.n),
-		ports: make([]map[NodeID]int, b.n),
-		deg:   make([]int, b.n),
+		adj:  make([][]NodeID, b.n),
+		back: make([][]int32, b.n),
+		deg:  make([]int, b.n),
 	}
+	total := 0
 	for v := range b.adj {
-		g.adj[v] = make([]NodeID, len(b.adj[v]))
-		copy(g.adj[v], b.adj[v])
-		g.ports[v] = make(map[NodeID]int, len(b.adj[v]))
-		for i, q := range b.adj[v] {
-			g.ports[v][q] = i
-		}
-		g.deg[v] = len(b.adj[v])
-		g.edges += len(b.adj[v])
+		total += len(b.adj[v])
 	}
-	g.edges /= 2
+	adj := make([]NodeID, total)
+	back := make([]int32, total)
+	off := 0
+	for v := range b.adj {
+		d := len(b.adj[v])
+		g.adj[v] = adj[off : off+d : off+d]
+		g.back[v] = back[off : off+d : off+d]
+		copy(g.adj[v], b.adj[v])
+		copy(g.back[v], b.back[v])
+		g.deg[v] = d
+		off += d
+	}
+	g.edges = total / 2
 	return g
 }
 
@@ -203,16 +220,40 @@ func (g *Graph) NeighborsCopy(v NodeID) []NodeID {
 // the port is a hole left by a removed edge.
 func (g *Graph) Neighbor(v NodeID, port int) NodeID { return g.adj[v][port] }
 
+// BackPort returns the port of v at the neighbour on v's given port:
+// Neighbor(Neighbor(v, port), BackPort(v, port)) == v. It is O(1); the
+// result is -1 when the port is a hole. Code that already holds a port
+// uses it instead of PortOf.
+func (g *Graph) BackPort(v NodeID, port int) int { return int(g.back[v][port]) }
+
 // PortOf returns the port number of q at v, i.e. the index of q in v's
-// adjacency list, and whether the edge {v,q} exists.
+// adjacency list, and whether the edge {v,q} exists. It scans the
+// shorter of the two adjacency lists, O(min(Ports(v), Ports(q))). Either
+// argument being None, out of range or a dead node yields false.
 func (g *Graph) PortOf(v, q NodeID) (int, bool) {
-	p, ok := g.ports[v][q]
-	return p, ok
+	if v < 0 || q < 0 || int(v) >= len(g.adj) || int(q) >= len(g.adj) {
+		return 0, false
+	}
+	if len(g.adj[v]) <= len(g.adj[q]) {
+		for p, w := range g.adj[v] {
+			if w == q {
+				return p, true
+			}
+		}
+		return 0, false
+	}
+	for p, w := range g.adj[q] {
+		if w == v {
+			return int(g.back[q][p]), true
+		}
+	}
+	return 0, false
 }
 
-// HasEdge reports whether {u,v} is an edge.
+// HasEdge reports whether {u,v} is an edge, with PortOf's cost and
+// argument contract.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	_, ok := g.ports[u][v]
+	_, ok := g.PortOf(u, v)
 	return ok
 }
 
@@ -278,7 +319,7 @@ func (g *Graph) Reorder(perm [][]int) (*Graph, error) {
 	}
 	ng := &Graph{
 		adj:     make([][]NodeID, g.N()),
-		ports:   make([]map[NodeID]int, g.N()),
+		back:    make([][]int32, g.N()),
 		edges:   g.edges,
 		deg:     make([]int, g.N()),
 		dead:    g.dead,
@@ -292,22 +333,33 @@ func (g *Graph) Reorder(perm [][]int) (*Graph, error) {
 		ng.liveEpoch = make([]uint64, len(g.liveEpoch))
 		copy(ng.liveEpoch, g.liveEpoch)
 	}
+	// newPort[v][old] inverts perm[v]; it doubles as the permutation
+	// check and remaps the back ports below.
+	newPort := make([][]int32, g.N())
 	for v := range g.adj {
 		if len(perm[v]) != len(g.adj[v]) {
 			return nil, fmt.Errorf("graph: node %d permutation length %d != degree %d", v, len(perm[v]), len(g.adj[v]))
 		}
-		seen := make([]bool, len(perm[v]))
-		ng.adj[v] = make([]NodeID, len(g.adj[v]))
-		ng.ports[v] = make(map[NodeID]int, len(g.adj[v]))
-		for newPort, oldPort := range perm[v] {
-			if oldPort < 0 || oldPort >= len(g.adj[v]) || seen[oldPort] {
+		newPort[v] = make([]int32, len(perm[v]))
+		for i := range newPort[v] {
+			newPort[v][i] = -1
+		}
+		for np, oldPort := range perm[v] {
+			if oldPort < 0 || oldPort >= len(g.adj[v]) || newPort[v][oldPort] >= 0 {
 				return nil, fmt.Errorf("graph: node %d permutation is not a permutation", v)
 			}
-			seen[oldPort] = true
+			newPort[v][oldPort] = int32(np)
+		}
+	}
+	for v := range g.adj {
+		ng.adj[v] = make([]NodeID, len(g.adj[v]))
+		ng.back[v] = make([]int32, len(g.adj[v]))
+		for np, oldPort := range perm[v] {
 			q := g.adj[v][oldPort]
-			ng.adj[v][newPort] = q
+			ng.adj[v][np] = q
+			ng.back[v][np] = -1
 			if q != None {
-				ng.ports[v][q] = newPort
+				ng.back[v][np] = newPort[q][g.back[v][oldPort]]
 				ng.deg[v]++
 			}
 		}

@@ -240,6 +240,7 @@ func TestReorderPreservesStructure(t *testing.T) {
 	if ng.N() != g.N() || ng.M() != g.M() {
 		t.Fatal("reorder changed size")
 	}
+	checkGraphInvariants(t, ng, "reordered clique")
 	for v := 0; v < g.N(); v++ {
 		for _, q := range g.Neighbors(NodeID(v)) {
 			if !ng.HasEdge(NodeID(v), q) {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -202,34 +203,9 @@ func TestMutationFollowedByRandomChurn(t *testing.T) {
 				g.AddNode()
 			}
 		}
-		// Invariants: degree bookkeeping, port maps, symmetry.
-		m := 0
-		for v := 0; v < g.N(); v++ {
-			id := NodeID(v)
-			live := 0
-			for p, q := range g.Neighbors(id) {
-				if q == None {
-					continue
-				}
-				live++
-				if got, ok := g.PortOf(id, q); !ok || got != p {
-					t.Fatalf("step %d: port map desync at %d->%d", i, v, q)
-				}
-				if !g.HasEdge(q, id) {
-					t.Fatalf("step %d: asymmetric edge {%d,%d}", i, v, q)
-				}
-				if !g.Alive(q) {
-					t.Fatalf("step %d: dead node %d in adjacency of %d", i, q, v)
-				}
-			}
-			if live != g.Degree(id) {
-				t.Fatalf("step %d: degree(%d) = %d, counted %d", i, v, g.Degree(id), live)
-			}
-			m += live
-		}
-		if m/2 != g.M() {
-			t.Fatalf("step %d: M() = %d, counted %d", i, g.M(), m/2)
-		}
+		// Invariants: degree bookkeeping, back ports, symmetry,
+		// components.
+		checkGraphInvariants(t, g, fmt.Sprintf("step %d", i))
 	}
 }
 
@@ -342,5 +318,54 @@ func TestRootEpoch(t *testing.T) {
 	// Out-of-range queries are safe.
 	if g.RootEpoch(-1) != 0 || g.RootEpoch(NodeID(99)) != 0 {
 		t.Fatal("out-of-range RootEpoch not zero")
+	}
+}
+
+// TestPortOfRejectsNonNeighbours pins the PortOf/HasEdge argument
+// contract on the map-free port index: None, out-of-range ids, a node
+// whose port was left a hole and a dead node all report no edge — a
+// naive scan would match None against a hole.
+func TestPortOfRejectsNonNeighbours(t *testing.T) {
+	g := Ring(6)
+	if _, err := g.RemoveEdge(0, 1); err != nil { // hole at port 0 of both
+		t.Fatal(err)
+	}
+	if _, err := g.RemoveNode(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v, q NodeID
+	}{
+		{"None neighbour", 0, None},
+		{"None node", None, 0},
+		{"None on a hole-free node", 4, None},
+		{"out of range", 0, 6},
+		{"out of range node", 6, 0},
+		{"negative", 0, -2},
+		{"hole", 0, 1},
+		{"hole reversed", 1, 0},
+		{"dead node", 2, 3},
+		{"dead node reversed", 3, 4},
+		{"dead to dead", 3, 3},
+	} {
+		if p, ok := g.PortOf(c.v, c.q); ok {
+			t.Errorf("%s: PortOf(%d,%d) = %d, want no edge", c.name, c.v, c.q, p)
+		}
+		if g.HasEdge(c.v, c.q) {
+			t.Errorf("%s: HasEdge(%d,%d) = true", c.name, c.v, c.q)
+		}
+	}
+	if g.BackPort(0, 0) != -1 || g.BackPort(0, 1) != 1 {
+		t.Errorf("BackPort(0,·) = %d,%d, want -1,1", g.BackPort(0, 0), g.BackPort(0, 1))
+	}
+	// Both scan directions: from the hub PortOf scans the leaf's
+	// shorter list and answers through its back port.
+	star := Star(4)
+	if p, ok := star.PortOf(0, 3); !ok || p != 2 {
+		t.Errorf("PortOf(hub, leaf 3) = %d,%v, want 2,true", p, ok)
+	}
+	if p, ok := star.PortOf(3, 0); !ok || p != 0 {
+		t.Errorf("PortOf(leaf 3, hub) = %d,%v, want 0,true", p, ok)
 	}
 }

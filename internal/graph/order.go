@@ -40,7 +40,7 @@ func (g *Graph) ReorderNodes(order []NodeID) (*Graph, []NodeID, error) {
 	}
 	ng := &Graph{
 		adj:     make([][]NodeID, n),
-		ports:   make([]map[NodeID]int, n),
+		back:    make([][]int32, n),
 		edges:   g.edges,
 		deg:     make([]int, n),
 		dead:    g.dead,
@@ -55,16 +55,14 @@ func (g *Graph) ReorderNodes(order []NodeID) (*Graph, []NodeID, error) {
 	for newID, oldID := range order {
 		old := g.adj[oldID]
 		ng.adj[newID] = make([]NodeID, len(old))
-		ng.ports[newID] = make(map[NodeID]int, len(old))
 		for p, q := range old {
 			if q == None {
 				ng.adj[newID][p] = None
 				continue
 			}
-			nq := inv[q]
-			ng.adj[newID][p] = nq
-			ng.ports[newID][nq] = p
+			ng.adj[newID][p] = inv[q]
 		}
+		ng.back[newID] = append([]int32(nil), g.back[oldID]...)
 		ng.deg[newID] = g.deg[oldID]
 		if g.alive != nil {
 			ng.alive[newID] = g.alive[oldID]

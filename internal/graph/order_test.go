@@ -19,6 +19,33 @@ func churnedGraph(t *testing.T) *Graph {
 	return g
 }
 
+// checkMutationsAfterCopy mutates a reordered copy — re-filling holes,
+// cutting an edge, killing and reviving a node — and re-checks the
+// structural invariants after each step, so the copied back ports stay
+// consistent under the mutations that read them.
+func checkMutationsAfterCopy(t *testing.T, g *Graph) {
+	t.Helper()
+	cut := g.Edges()[0]
+	steps := []func() error{
+		func() error { _, err := g.RemoveEdge(cut.U, cut.V); return err },
+		func() error { _, err := g.AddEdge(cut.U, cut.V); return err },
+		func() error { _, err := g.RemoveNode(cut.U); return err },
+		func() error {
+			for !g.Alive(cut.U) { // revive cut.U past lower dead slots
+				g.AddNode()
+			}
+			return nil
+		},
+		func() error { _, err := g.AddEdge(cut.U, cut.V); return err },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("mutation %d after copy: %v", i, err)
+		}
+		checkGraphInvariants(t, g, "mutated copy")
+	}
+}
+
 // TestReorderChurned checks the port-space contract on a mutated
 // graph: permutations cover holes, holes travel to their new port, and
 // the copy carries the version and liveness epochs of the original.
@@ -36,6 +63,8 @@ func TestReorderChurned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGraphInvariants(t, ng, "reordered ports")
+	defer checkMutationsAfterCopy(t, ng)
 	if ng.Version() != g.Version() {
 		t.Fatalf("version not carried: %d != %d", ng.Version(), g.Version())
 	}
@@ -105,6 +134,8 @@ func TestReorderNodesChurned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGraphInvariants(t, ng, "relabeled nodes")
+	defer checkMutationsAfterCopy(t, ng)
 	for old, nw := range inv {
 		if order[nw] != NodeID(old) {
 			t.Fatalf("inv is not the inverse of order at old id %d", old)

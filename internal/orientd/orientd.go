@@ -363,6 +363,9 @@ type Server struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 	conns     sync.WaitGroup
+
+	openMu sync.Mutex
+	open   map[net.Conn]struct{} // live client connections, closed by Close
 }
 
 // buildStack constructs the named protocol stack on g.
@@ -459,6 +462,7 @@ func New(cfg Config) (*Server, error) {
 		ln:     ln,
 		start:  time.Now(),
 		closed: make(chan struct{}),
+		open:   make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -470,18 +474,47 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // (Config.Workers ≥ 1).
 func (s *Server) Runtime() *actor.Runtime { return s.rt }
 
-// Close stops accepting, wakes Serve, and shuts the runtime down.
-// Safe to call more than once and concurrently with Serve.
+// Close stops accepting, closes every open client connection (an idle
+// client would otherwise hold Serve in its connection drain forever),
+// wakes Serve, and so shuts the runtime down. Safe to call more than
+// once and concurrently with Serve.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
 		s.ln.Close()
+		s.openMu.Lock()
+		defer s.openMu.Unlock()
+		for conn := range s.open {
+			conn.Close()
+		}
 	})
 }
 
+// track registers an accepted connection for Close; it reports false,
+// leaving the connection untracked, once Close has run.
+func (s *Server) track(conn net.Conn) bool {
+	s.openMu.Lock()
+	defer s.openMu.Unlock()
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
+	s.open[conn] = struct{}{}
+	return true
+}
+
+// untrack forgets a connection its handler has finished with.
+func (s *Server) untrack(conn net.Conn) {
+	s.openMu.Lock()
+	defer s.openMu.Unlock()
+	delete(s.open, conn)
+}
+
 // Serve starts stabilization and the accept loop, blocking until the
-// context is cancelled or a client issues the shutdown verb. Open
-// connections are drained before the runtime stops; a graceful
+// context is cancelled or a client issues the shutdown verb. Shutdown
+// closes every open connection (after the shutdown reply is written)
+// and waits for their handlers before the runtime stops; a graceful
 // shutdown returns nil.
 func (s *Server) Serve(ctx context.Context) error {
 	if err := s.eng.Start(); err != nil {
@@ -509,11 +542,16 @@ func (s *Server) Serve(ctx context.Context) error {
 				return err
 			}
 		}
+		if !s.track(conn) {
+			conn.Close()
+			continue // Close ran; the next Accept fails and Serve returns
+		}
 		s.conns.Add(1)
 		s.clients.Add(1)
 		go func() {
 			defer s.conns.Done()
 			defer s.clients.Add(-1)
+			defer s.untrack(conn)
 			s.serveConn(conn)
 		}()
 	}

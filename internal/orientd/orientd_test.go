@@ -272,6 +272,60 @@ func TestServeContextCancel(t *testing.T) {
 	}
 }
 
+// TestShutdownWithIdleClient: an idle client connected beside the one
+// that sends shutdown (or beside a context cancel) must not hold Serve
+// in its connection drain — Close closes every open connection, so
+// Serve returns within a second either way.
+func TestShutdownWithIdleClient(t *testing.T) {
+	t.Parallel()
+	for _, viaCancel := range []bool{false, true} {
+		srv, err := orientd.New(orientd.Config{GraphSpec: "ring:5", Stack: "token"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(ctx) }()
+		idle, err := orientd.Dial(srv.Addr().Network(), srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idle.Close()
+		// One round trip proves the idle connection is being served
+		// before shutdown starts.
+		var st orientd.Status
+		if err := idle.Do(orientd.Request{Op: "status"}, &st); err != nil {
+			t.Fatal(err)
+		}
+		want := error(nil)
+		if viaCancel {
+			cancel()
+			want = context.Canceled
+		} else {
+			admin, err := orientd.Dial(srv.Addr().Network(), srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer admin.Close()
+			if err := admin.Do(orientd.Request{Op: "shutdown"}, nil); err != nil {
+				t.Fatalf("shutdown not acknowledged: %v", err)
+			}
+		}
+		select {
+		case err := <-done:
+			if err != want {
+				t.Fatalf("cancel=%v: Serve returned %v, want %v", viaCancel, err, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("cancel=%v: Serve still blocked 1s after shutdown with an idle client", viaCancel)
+		}
+		if err := idle.Do(orientd.Request{Op: "status"}, &st); err == nil {
+			t.Fatalf("cancel=%v: idle connection still served after shutdown", viaCancel)
+		}
+	}
+}
+
 // TestBadConfig: constructor rejections.
 func TestBadConfig(t *testing.T) {
 	t.Parallel()

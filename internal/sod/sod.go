@@ -83,7 +83,9 @@ func FromNames(g *graph.Graph, names []int, modulus int) *Labeling {
 		nbrs := g.Neighbors(graph.NodeID(v))
 		l.Labels[v] = make([]int, len(nbrs))
 		for port, q := range nbrs {
-			l.Labels[v][port] = ChordalLabel(names[v], names[q], modulus)
+			if q != graph.None { // holes keep label 0
+				l.Labels[v][port] = ChordalLabel(names[v], names[q], modulus)
+			}
 		}
 	}
 	return l
@@ -116,6 +118,9 @@ func (l *Labeling) Validate(g *graph.Graph) error {
 		}
 		local := make(map[int]bool, len(nbrs))
 		for port, q := range nbrs {
+			if q == graph.None {
+				continue // holes carry no edge to label
+			}
 			want := ChordalLabel(l.Names[v], l.Names[q], l.Modulus)
 			got := l.Labels[v][port]
 			if got != want {
@@ -131,11 +136,10 @@ func (l *Labeling) Validate(g *graph.Graph) error {
 	// the inverse modulo N.
 	for v := 0; v < g.N(); v++ {
 		for port, q := range g.Neighbors(graph.NodeID(v)) {
-			backPort, ok := g.PortOf(q, graph.NodeID(v))
-			if !ok {
-				return ErrShape
+			if q == graph.None {
+				continue
 			}
-			got, back := l.Labels[v][port], l.Labels[q][backPort]
+			got, back := l.Labels[v][port], l.Labels[q][g.BackPort(graph.NodeID(v), port)]
 			if Mod(got+back, l.Modulus) != 0 {
 				return fmt.Errorf("sod: edge symmetry violated on {%d,%d}: %d + %d ≢ 0 (mod %d)",
 					v, q, got, back, l.Modulus)

@@ -71,6 +71,54 @@ func TestValidateDetectsShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestLabelingOnHoledGraphs: FromNames and Validate skip the None
+// holes removed edges leave in the port space (they used to index
+// Names with None and panic), on a ring and a grid after RemoveEdge
+// and again after a flap re-fills the hole; a corrupted live label
+// beside a hole is still caught.
+func TestLabelingOnHoledGraphs(t *testing.T) {
+	for name, build := range map[string]func() *graph.Graph{
+		"ring6":   func() *graph.Graph { return graph.Ring(6) },
+		"grid3x3": func() *graph.Graph { return graph.Grid(3, 3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := build()
+			d, err := g.RemoveEdge(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string) {
+				t.Helper()
+				l := FromNames(g, identityNames(g.N()), g.N())
+				if err := l.Validate(g); err != nil {
+					t.Fatalf("%s: labeling invalid: %v", stage, err)
+				}
+				if g.Neighbor(0, d.PortU) == graph.None {
+					return
+				}
+				l.Labels[0][d.PortU] = Mod(l.Labels[0][d.PortU]+1, g.N())
+				var sp2 *SP2Error
+				if err := l.Validate(g); !errors.As(err, &sp2) {
+					t.Fatalf("%s: corrupted label: got %v, want SP2Error", stage, err)
+				}
+			}
+			check("after remove")
+			// Corrupt the live port next to the hole: still detected.
+			l := FromNames(g, identityNames(g.N()), g.N())
+			live := 1 - d.PortU // ports 0/1 at node 0: one hole, one live
+			l.Labels[0][live] = Mod(l.Labels[0][live]+1, g.N())
+			var sp2 *SP2Error
+			if err := l.Validate(g); !errors.As(err, &sp2) {
+				t.Fatalf("corrupted live label beside a hole: got %v, want SP2Error", err)
+			}
+			if _, err := g.AddEdge(0, 1); err != nil { // flap: re-fills the hole
+				t.Fatal(err)
+			}
+			check("after flap")
+		})
+	}
+}
+
 // TestChordalInverseProperty (§2.2): if the link is labeled d at p, it
 // is labeled N−d at q — property-checked over random graphs and random
 // permutation namings.
@@ -86,7 +134,7 @@ func TestChordalInverseProperty(t *testing.T) {
 		}
 		for v := 0; v < n; v++ {
 			for port, q := range g.Neighbors(graph.NodeID(v)) {
-				back, _ := g.PortOf(q, graph.NodeID(v))
+				back := g.BackPort(graph.NodeID(v), port)
 				if Mod(l.Labels[v][port]+l.Labels[q][back], n) != 0 {
 					return false
 				}

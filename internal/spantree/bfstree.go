@@ -200,30 +200,24 @@ func (t *BFSTree) Influence(v graph.NodeID, _ program.ActionID, buf []graph.Node
 // Dist returns v's current distance variable.
 func (t *BFSTree) Dist(v graph.NodeID) int { return t.dist[v] }
 
-// desired returns the distance and parent v's action would write.
+// desired returns the distance and parent v's action would write: one
+// more than the smallest neighbouring distance (capped at n) and the
+// first neighbour in port order holding it, found in one pass.
 func (t *BFSTree) desired(v graph.NodeID) (int, graph.NodeID) {
 	if t.isRoot(v) {
 		return 0, graph.None
 	}
-	min := t.g.N()
+	n := t.g.N()
+	min, par := n, graph.None
 	for _, q := range t.g.Neighbors(v) {
 		if q != graph.None && t.dist[q] < min {
-			min = t.dist[q]
+			min, par = t.dist[q], q
 		}
 	}
-	if min >= t.g.N() {
-		return t.g.N(), graph.None
+	if par == graph.None {
+		return n, graph.None
 	}
-	d := min + 1
-	if d > t.g.N() {
-		d = t.g.N()
-	}
-	for _, q := range t.g.Neighbors(v) {
-		if q != graph.None && t.dist[q] == min {
-			return d, q
-		}
-	}
-	return d, graph.None
+	return min + 1, par
 }
 
 // Enabled implements program.Protocol.

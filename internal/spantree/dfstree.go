@@ -215,7 +215,7 @@ func (t *DFSTree) desired(v graph.NodeID) []int {
 		return []int{}
 	}
 	var best []int
-	for _, q := range t.g.Neighbors(v) {
+	for i, q := range t.g.Neighbors(v) {
 		if q == graph.None {
 			continue
 		}
@@ -223,7 +223,7 @@ func (t *DFSTree) desired(v graph.NodeID) []int {
 		if pq == nil || len(pq)+1 > t.g.N()-1 {
 			continue
 		}
-		port, _ := t.g.PortOf(q, v)
+		port := t.g.BackPort(v, i)
 		cand := make([]int, len(pq)+1)
 		copy(cand, pq)
 		cand[len(cand)-1] = port
@@ -276,12 +276,11 @@ func (t *DFSTree) Parent(v graph.NodeID) graph.NodeID {
 	}
 	last := t.path[v][len(t.path[v])-1]
 	prefix := t.path[v][:len(t.path[v])-1]
-	for _, q := range t.g.Neighbors(v) {
+	for i, q := range t.g.Neighbors(v) {
 		if q == graph.None || t.path[q] == nil || len(t.path[q]) != len(prefix) {
 			continue
 		}
-		port, _ := t.g.PortOf(q, v)
-		if port == last && pathEqual(t.path[q], prefix) {
+		if t.g.BackPort(v, i) == last && pathEqual(t.path[q], prefix) {
 			return q
 		}
 	}
